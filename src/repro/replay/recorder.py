@@ -242,6 +242,9 @@ class Recorder:
                 del self.coverage[key]
         for start, size in current:
             self._cover_region(start, size, now)
+        if self.keyframes and self.keyframes[-1].index == now:
+            # taken before the change: it would restore the old set
+            self.keyframes.pop()
         self._capture_keyframe()
 
     def truncate_future(self, now: int) -> None:

@@ -222,7 +222,7 @@ def regress(conn, workload: str,
 
     The returned dict carries per-metric deltas and a ``regressions``
     list naming the metrics that worsened past the threshold — the CLI
-    exits non-zero when it is non-empty, which is the CI gate.
+    exits non-zero when it is non-empty.
     """
     if run_a is not None and run_b is not None:
         baseline = get_run(conn, run_a)

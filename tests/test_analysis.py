@@ -12,6 +12,7 @@ from repro.analysis.prune import predicate_invariant
 from repro.analysis.ranges import RangeAnalysis
 from repro.asm.assembler import assemble
 from repro.asm.parser import parse
+from repro.eval.analyze import measure_workload
 from repro.instrument.plan import ELIM_IPA, ELIM_SYMBOL
 from repro.instrument.writes import enumerate_write_sites
 from repro.ir.build import apply_promotion, build_ir
@@ -158,6 +159,18 @@ class TestIpaPass:
         _stmts, ipa_plan = build_plan(asm, mode="ipa")
         assert len(ipa_plan.eliminate) > len(full_plan.eliminate)
         assert ELIM_IPA in ipa_plan.eliminate.values()
+
+    def test_ipa_dominates_full_on_workloads(self):
+        # the three workloads ipa wins on plus gcc, whose heap stores
+        # it must refuse
+        wins = []
+        for name in ["022.li", "015.doduc", "013.spice2g6",
+                     "001.gcc1.35"]:
+            row = measure_workload(name, 0.2)
+            assert row["ipa"] + 1e-9 >= row["full"], (name, row)
+            if row["ipa_static"] > row["full_static"]:
+                wins.append(name)
+        assert len(wins) >= 2, wins
 
     def test_every_ipa_site_has_provenance_and_registration(self):
         asm = compile_source(INTERPROC)

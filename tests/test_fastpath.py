@@ -9,6 +9,8 @@ observable.  Several tests also assert ``block_runs > 0`` so a
 regression that silently de-opts everything (trivially "equal") fails.
 """
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +23,18 @@ from repro.minic.codegen import compile_source
 from repro.replay import state_digest
 from repro.workloads import WORKLOADS, workload_source
 
-WORKLOAD_NAMES = ["023.eqntott", "030.matrix300", "008.espresso"]
+WORKLOAD_NAMES = ["023.eqntott", "030.matrix300", "008.espresso",
+                  "022.li", "042.fpppp"]
+
+#: the fast path must beat the per-step loop by SPEEDUP_FLOOR on at
+#: least SPEEDUP_MIN_WORKLOADS of these at SPEEDUP_SCALE (measured
+#: about 3-3.7x on li and fpppp; the floor leaves room for a loaded
+#: host)
+SPEEDUP_WORKLOADS = ["023.eqntott", "030.matrix300", "022.li",
+                     "042.fpppp"]
+SPEEDUP_SCALE = 0.4
+SPEEDUP_FLOOR = 2.0
+SPEEDUP_MIN_WORKLOADS = 2
 
 
 def cpu_state(cpu):
@@ -50,6 +63,14 @@ def run_workload(name, scale, fast):
     loaded = load_program(assemble(asm), fast_path=fast)
     code = loaded.run()
     return code, loaded
+
+
+def timed_run(asm, fast):
+    """Host seconds of one run to exit (load and assembly untimed)."""
+    loaded = load_program(assemble(asm), fast_path=fast)
+    begin = time.perf_counter()
+    assert loaded.run() == 0
+    return time.perf_counter() - begin
 
 
 class TestUninstrumentedParity:
@@ -86,6 +107,23 @@ class TestUninstrumentedParity:
             "\tmov 0, %o0\n\tta 0\n\t.endproc\n")
         assert not cpu.fast_path
         assert cpu.fast_stats()["block_runs"] == 0
+
+
+class TestSpeedupFloor:
+    def test_fast_path_clears_the_floor(self):
+        # the fast run takes the CPU default engine, so disabling the
+        # fast path (REPRO_FAST_PATH=0) collapses every speedup to ~1x
+        speedups = {}
+        for name in SPEEDUP_WORKLOADS:
+            spec = WORKLOADS[name]
+            asm = compile_source(workload_source(name, SPEEDUP_SCALE),
+                                 lang=spec.lang)
+            timed_run(asm, fast=None)  # warm-up
+            plain_s = timed_run(asm, fast=False)
+            speedups[name] = round(plain_s / timed_run(asm, fast=None), 2)
+        above = [name for name, speedup in speedups.items()
+                 if speedup >= SPEEDUP_FLOOR]
+        assert len(above) >= SPEEDUP_MIN_WORKLOADS, speedups
 
 
 class TestWatchdogParity:

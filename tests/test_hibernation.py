@@ -265,6 +265,24 @@ class TestHibernateThawLifecycle:
             assert pre_hits + post_hits == ref_hits
             assert client.evaluate(session_id, "total") == ref_total
 
+    def test_resume_after_reverse_continue(self, server):
+        # the watch arms at the recording's first keyframe, and the
+        # reverse lands before the next one: the frozen state must
+        # still carry the armed region
+        with client_for(server) as client:
+            client.initialize()
+            session_id = client.launch(SOURCE, record={"stride": 2000})
+            info = client.data_breakpoint_info(session_id, "total")
+            client.set_data_breakpoints(
+                session_id, [{"dataId": info["dataId"], "stop": True}])
+            stops = [client.cont(session_id)["instructions"]
+                     for _ in range(3)]
+            back = client.reverse_continue(session_id)
+            assert back["instructions"] == stops[1]
+            assert client.hibernate(session_id)["hibernated"] is True
+            assert client.resume(session_id)["thawed"] is True
+            assert client.cont(session_id)["instructions"] == stops[2]
+
     def test_idle_eviction_hibernates_with_store(self, hdir):
         config = ServerConfig(hibernate_dir=hdir, idle_timeout=0.2)
         with DebugServer(config=config).start() as server:

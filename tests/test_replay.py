@@ -22,6 +22,7 @@ from repro.errors import DivergenceError, ReplayError
 from repro.faults import REPLAY_KEYFRAME, FaultPlan
 from repro.replay import WriteRecord, WriteTrace, state_digest
 from repro.session import DebugSession
+from repro.workloads import WORKLOADS, workload_source
 
 SOURCE = """
 int total;
@@ -177,6 +178,25 @@ class TestReverseExecution:
             debugger.reverse_step()
         with pytest.raises(ReplayError):
             debugger.last_write("total")
+
+    def test_watch_armed_after_record_survives_reverse(self):
+        # record() keyframes index 0 before the watch arms there: the
+        # reverse must restore the armed monitor set, not the empty one
+        name = "023.eqntott"
+        debugger = Debugger.for_source(workload_source(name, 1.0),
+                                       lang=WORKLOADS[name].lang)
+        debugger.record()
+        debugger.watch("__seed", action="stop")
+        stops = []
+        for _ in range(4):
+            assert debugger.run() == "watch"
+            stops.append(debugger.cpu.instructions)
+        assert stops == [38, 124, 166, 285]
+        assert debugger.reverse_continue() == "watch"
+        assert debugger.cpu.instructions == 166
+        assert len(debugger.mrs.regions) == 1
+        assert debugger.run() == "watch"
+        assert debugger.cpu.instructions == 285
 
     def test_watch_change_while_travelled_forks_the_timeline(self):
         debugger, recorder, _w = record_run()

@@ -11,6 +11,7 @@ the thread-safety of a shared MonitoredRegionService.
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -252,6 +253,21 @@ class TestResourceManagement:
                     client.cont(session_id)
                 assert excinfo.value.context["reason"] == \
                     "unknown_session"
+
+    def test_close_returns_promptly_and_stops_accepting(self):
+        def accept_threads():
+            return {thread for thread in threading.enumerate()
+                    if thread.name == "repro-accept" and thread.is_alive()}
+
+        before = accept_threads()
+        server = DebugServer().start()
+        with client_for(server) as client:
+            client.initialize()
+            client.launch(SOURCE)
+        begin = time.monotonic()
+        server.close()
+        assert time.monotonic() - begin < 1.0
+        assert accept_threads() <= before
 
     def test_draining_manager_refuses_new_work(self, server):
         manager = server.manager

@@ -18,6 +18,7 @@ The ISSUE acceptance criteria exercised here:
 """
 
 import hashlib
+import json
 import os
 import struct
 import subprocess
@@ -440,6 +441,25 @@ class TestAnalyzeCli:
         assert '"writes_per_kinstr"' in capsys.readouterr().out
         assert cli_main(["analyze", "--db", populated, "stats"]) == 0
         assert "dedup_ratio" in capsys.readouterr().out
+
+    def test_queries_answer_after_crash_mid_commit(self, populated,
+                                                   capsys):
+        child = subprocess.run(
+            [sys.executable, "-c", KILL_MID_COMMIT, populated],
+            env={**os.environ, "PYTHONPATH": SRC_DIR},
+            capture_output=True, text=True, timeout=120)
+        assert child.returncode == 9, child.stderr
+        assert cli_main(["analyze", "--db", populated, "stats",
+                         "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["runs"] == 2
+        # the two runs differ only in host time, so a threshold no
+        # timing can reach leaves an error as the only way to fail
+        assert cli_main(["analyze", "--db", populated, "regress",
+                         "--workload", "023.eqntott",
+                         "--threshold", "1000000"]) == 0
+        assert cli_main(["analyze", "--db", populated, "provenance",
+                         "__seed", "--workload", "023.eqntott"]) == 0
+        assert "->" in capsys.readouterr().out
 
     def test_provenance_resolves_from_the_registry(self, populated,
                                                    capsys):

@@ -21,6 +21,7 @@ import pytest
 from repro.debugger import Debugger
 from repro.debugger.debugger import DebuggerError
 from repro.errors import PredicateCompileError, PredicateError
+from repro.eval.watchkinds import measure_watchkinds
 from repro.server import DebugClient, DebugServer, ServerConfig
 from repro.watchpoints import (EDGES, EvalContext,
                                WatchStats, access_allows,
@@ -145,6 +146,18 @@ class TestEngineHelpers:
 
 
 # -- debugger-level semantics -------------------------------------------------
+
+class TestConditionalOverhead:
+    def test_rejecting_predicate_within_2x_of_unconditional(self):
+        for name, rows in measure_watchkinds(0.2, 2).items():
+            cond = rows["Conditional"]
+            assert cond["suppressed"] > 0.99 * cond["hits"], (name, cond)
+            # armed wall-time ratio (1 + overhead/100 on each side):
+            # sub-millisecond overheads alone are too noisy to divide
+            ratio = ((100.0 + cond["overhead"])
+                     / (100.0 + rows["Unconditional"]["overhead"]))
+            assert ratio < 2.0, (name, round(ratio, 3))
+
 
 class TestConditionalWatchpoints:
     def test_predicate_filters_hits(self):
