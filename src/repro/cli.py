@@ -327,6 +327,11 @@ def _command_run(args) -> int:
         for tag in sorted(cpu.tag_counts):
             print("     %-12s %9d insns %10d cycles"
                   % (tag, cpu.tag_counts[tag], cpu.tag_cycles[tag]))
+        fast = cpu.fast_stats()
+        print("     fast path: %d block runs, %d decodes, %d compiles, "
+              "%d invalidations" % (fast["block_runs"], fast["decodes"],
+                                    fast["compiles"],
+                                    fast["invalidations"]))
     return 0
 
 

@@ -427,10 +427,11 @@ class CPU:
         return self._blocks
 
     def fast_stats(self) -> Dict[str, int]:
-        """Fast-path telemetry: cached blocks, decodes, runs, retires."""
+        """Fast-path telemetry: cached blocks, decodes, template
+        compiles, invalidations, runs, retires."""
         if self._blocks is None:
-            return {"cached_blocks": 0, "decodes": 0, "invalidations": 0,
-                    "block_runs": 0, "fast_retired": 0}
+            return {"cached_blocks": 0, "decodes": 0, "compiles": 0,
+                    "invalidations": 0, "block_runs": 0, "fast_retired": 0}
         return self._blocks.stats()
 
     def stop(self, exit_code: int = 0) -> None:
